@@ -141,6 +141,10 @@ type t = {
       (* one-shot per-committee flag: the next snapshot served for catch-up
          is tampered (models a Byzantine serving member; the joiner's
          verification must reject it) *)
+  placement : (string, int) Hashtbl.t;
+      (* key -> shard memo over Tx.shard_of_key (DESIGN §19): each key is
+         hashed once per system instead of on every prepare, decision,
+         retry and delta leg that touches it *)
 }
 
 let ref_index t = t.cfg.shards
@@ -156,6 +160,26 @@ let committee_size t = t.cfg.committee_size
 let shard_state t s = t.committees.(s).state
 
 let shard_chain t s = t.committees.(s).chain
+
+(* Placement through the per-system memo.  The answer is Tx.shard_of_key's
+   exactly, so memoising changes no simulated result.  One shard needs no
+   table: Tx.shard_of_key answers 0 without hashing. *)
+let shard_of_key t key =
+  let shards = t.cfg.shards in
+  if shards = 1 then Tx.shard_of_key ~shards key
+  else
+    match Hashtbl.find_opt t.placement key with
+    | Some shard -> shard
+    | None ->
+        let shard = Tx.shard_of_key ~shards key in
+        Hashtbl.replace t.placement key shard;
+        shard
+
+let shards_touched t tx =
+  List.sort_uniq Int.compare (List.map (fun op -> shard_of_key t (Tx.key_of_op op)) tx.Tx.ops)
+
+let ops_for_shard t tx shard =
+  List.filter (fun op -> shard_of_key t (Tx.key_of_op op) = shard) tx.Tx.ops
 
 let reference_machine t = if has_reference t then t.committees.(ref_index t).coordsm else None
 
@@ -396,7 +420,7 @@ let dispatch_decision t txid ok =
         rec_.legs_left <- List.length rec_.participant_shards;
         List.iter
           (fun shard ->
-            let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+            let ops = ops_for_shard t rec_.tx shard in
             let op =
               if ok then Coordination.Commit_tx { txid; ops }
               else Coordination.Abort_tx { txid; ops }
@@ -417,7 +441,7 @@ let dispatch_prepares t txid =
       end;
       List.iter
         (fun shard ->
-          let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+          let ops = ops_for_shard t rec_.tx shard in
           send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
             (Coordination.Prepare_tx { txid; ops }))
         rec_.participant_shards
@@ -638,7 +662,7 @@ let execute_on_shard t ctx (req : Types.request) =
           () (* coordinator-only ops *))
 
 let merge_deltas_for t deltas shard =
-  List.filter (fun (key, _) -> Tx.shard_of_key ~shards:t.cfg.shards key = shard) deltas
+  List.filter (fun (key, _) -> shard_of_key t key = shard) deltas
 
 let observe_vote_leg t txid =
   if Probe.enabled t.probe then
@@ -769,7 +793,7 @@ and fallback_collect t txid =
          List.iter
            (fun shard ->
              if not (Hashtbl.mem rec_.legs_done shard) then begin
-               let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+               let ops = ops_for_shard t rec_.tx shard in
                let op =
                  if rec_.outcome = Committed then Coordination.Commit_tx { txid; ops }
                  else Coordination.Abort_tx { txid; ops }
@@ -785,7 +809,7 @@ and fallback_collect t txid =
                  enqueue_step t ~committee:(coordinator_of t rec_) ~client:rec_.tx.Tx.client
                    (Coordination.Vote { txid; shard; ok })
              | None ->
-                 let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+                 let ops = ops_for_shard t rec_.tx shard in
                  send_to_committee t ~committee:shard ~client:rec_.tx.Tx.client
                    (Coordination.Prepare_tx { txid; ops }))
            rec_.participant_shards);
@@ -827,6 +851,7 @@ let create cfg =
       batches_inflight = 0;
       live_batches = Hashtbl.create 64;
       corrupt_snapshot = Hashtbl.create 4;
+      placement = Hashtbl.create 1024;
     }
   in
   let make_committee index =
@@ -967,7 +992,7 @@ let rec arm_retry t txid =
                           Coordination.Merge_tx
                             { txid; deltas = merge_deltas_for t deltas shard }
                       | None ->
-                          let ops = Tx.ops_for_shard ~shards:t.cfg.shards rec_.tx shard in
+                          let ops = ops_for_shard t rec_.tx shard in
                           if rec_.outcome = Committed then Coordination.Commit_tx { txid; ops }
                           else Coordination.Abort_tx { txid; ops }
                     in
@@ -991,7 +1016,7 @@ let rec arm_retry t txid =
 let merge_lock_conflict t deltas =
   List.exists
     (fun (key, _) ->
-      let shard = Tx.shard_of_key ~shards:t.cfg.shards key in
+      let shard = shard_of_key t key in
       let locks = Locks.create t.committees.(shard).state in
       Option.is_some (Locks.holder locks key))
     deltas
@@ -1000,7 +1025,7 @@ let submit_merge t ~on_done ~malicious_client tx deltas =
   let txid = tx.Tx.txid in
   let touched =
     List.sort_uniq Int.compare
-      (List.map (fun (key, _) -> Tx.shard_of_key ~shards:t.cfg.shards key) deltas)
+      (List.map (fun (key, _) -> shard_of_key t key) deltas)
   in
   let rec_ =
     {
@@ -1030,7 +1055,7 @@ let submit_merge t ~on_done ~malicious_client tx deltas =
 
 let submit_locked t ?(on_done = fun _ -> ()) ?(malicious_client = false) tx =
   let txid = tx.Tx.txid in
-  let touched = Tx.shards_touched ~shards:t.cfg.shards tx in
+  let touched = shards_touched t tx in
   match touched with
   | [] -> on_done Aborted
   | [ shard ] ->

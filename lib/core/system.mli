@@ -91,6 +91,14 @@ val shard_state : t -> int -> Repro_ledger.State.t
 
 val shard_chain : t -> int -> Repro_ledger.Block.Chain.chain
 
+val shard_of_key : t -> string -> int
+(** [Tx.shard_of_key ~shards:(shards t)], memoised per system: each key is
+    hashed once, on first lookup.  Every placement the system makes goes
+    through this memo. *)
+
+val shards_touched : t -> Repro_ledger.Tx.t -> int list
+(** [Tx.shards_touched] through the placement memo. *)
+
 val reference_machine : t -> Repro_shard.Reference.t option
 (** R's 2PC chaincode instance ([With_reference] mode only; [None] in the
     other modes — see {!coordination_machines} for the flattened ones). *)

@@ -33,12 +33,11 @@ let setup t system ~initial_balance =
   match t.kind with
   | Kvstore _ -> ()
   | Smallbank | Hot_increments _ ->
-      let shards = System.shards system in
       for i = 0 to t.keyspace - 1 do
         let acc = account i in
         List.iter
           (fun key ->
-            let shard = Tx.shard_of_key ~shards key in
+            let shard = System.shard_of_key system key in
             Executor.set_balance (System.shard_state system shard) key initial_balance)
           [ Smallbank_cc.checking_key acc; Smallbank_cc.savings_key acc ]
       done
@@ -98,7 +97,7 @@ let next_tx t system ~client =
     Tx.make ~txid ~client ~submitted:(Repro_sim.Engine.now (System.engine system)) ops
   in
   t.generated <- t.generated + 1;
-  if Tx.is_cross_shard ~shards:(System.shards system) tx then
+  if List.length (System.shards_touched system tx) > 1 then
     t.cross_shard <- t.cross_shard + 1;
   tx
 

@@ -15,16 +15,24 @@ let level_up nodes =
   in
   pair [] nodes
 
+(* Same tree as repeated [level_up], reduced in place in one array: node
+   [i] of the next level overwrites slot [i], which the pairs [2i, 2i+1]
+   have already been read from. *)
 let root leaves =
   match leaves with
   | [] -> empty_root
   | _ ->
-      let rec reduce nodes =
-        match nodes with
-        | [ single ] -> single
-        | _ -> reduce (level_up nodes)
-      in
-      reduce (List.map leaf_hash leaves)
+      let nodes = Array.of_list (List.map leaf_hash leaves) in
+      let n = ref (Array.length nodes) in
+      while !n > 1 do
+        let half = !n / 2 in
+        for i = 0 to half - 1 do
+          nodes.(i) <- node_hash nodes.(2 * i) nodes.((2 * i) + 1)
+        done;
+        if !n land 1 = 1 then nodes.(half) <- nodes.(!n - 1);
+        n := (!n + 1) / 2
+      done;
+      nodes.(0)
 
 exception Leaf_out_of_range of { index : int; leaves : int }
 

@@ -15,6 +15,7 @@ type header = {
 type t = { header : header; txs : string list (* serialized transactions *) }
 
 val hash : t -> Repro_crypto.Sha256.digest
+(** SHA-256 over the serialized header, recomputed on every call. *)
 
 val genesis : Repro_crypto.Sha256.digest -> t
 (** [genesis state_root] at height 0 with a zero parent. *)
@@ -36,7 +37,13 @@ module Chain : sig
 
   val create : state_root:Repro_crypto.Sha256.digest -> chain
 
+  val of_blocks : t list -> chain option
+  (** Adopt blocks received from a peer, newest first ([None] if empty).
+      Nothing is checked: run {!validate} before trusting them. *)
+
   val append : chain -> txs:string list -> state_root:Repro_crypto.Sha256.digest -> timestamp:float -> t
+  (** Links to the tip by its header hash, computed once when the tip was
+      appended, and hashes the new block's header once. *)
 
   val tip : chain -> t
 

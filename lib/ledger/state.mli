@@ -21,18 +21,20 @@ val delete : t -> string -> unit
 
 val mem : t -> string -> bool
 
-val size : t -> int
-
 val keys : t -> string list
 (** Sorted. *)
 
 val root : t -> Repro_crypto.Sha256.digest
-(** Merkle root over sorted (key, value) leaves. *)
+(** Merkle root over sorted (key, value) leaves.  Memoised: computed once
+    per state version, and cleared by every {!put} and {!delete}. *)
 
 val snapshot : t -> (string * value) list
-(** Sorted association list; the state-transfer payload. *)
+(** Sorted association list; the state-transfer payload.  Memoised and
+    cleared like {!root}. *)
 
 val restore : (string * value) list -> t
+(** A fresh state with empty memos: its {!root} is recomputed from the
+    restored entries, never carried over from whoever packed them. *)
 
 val equal : t -> t -> bool
 (** Same keys, data, and versions. *)

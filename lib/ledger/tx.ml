@@ -29,15 +29,18 @@ let keys t = List.sort_uniq String.compare (List.map key_of_op t.ops)
 
 let shard_of_key ~shards key =
   if shards <= 0 then Repro_util.Invariant.fail "Tx.shard_of_key: shards must be positive";
-  let digest = Sha256.to_raw (Sha256.digest_string key) in
-  (* First 4 digest bytes as an unsigned int. *)
-  let v =
-    (Char.code digest.[0] lsl 24)
-    lor (Char.code digest.[1] lsl 16)
-    lor (Char.code digest.[2] lsl 8)
-    lor Char.code digest.[3]
-  in
-  v mod shards
+  (* Every hash is 0 mod 1: a single shard skips the digest. *)
+  if shards = 1 then 0
+  else
+    let digest = Sha256.to_raw (Sha256.digest_string key) in
+    (* First 4 digest bytes as an unsigned int. *)
+    let v =
+      (Char.code digest.[0] lsl 24)
+      lor (Char.code digest.[1] lsl 16)
+      lor (Char.code digest.[2] lsl 8)
+      lor Char.code digest.[3]
+    in
+    v mod shards
 
 let shards_touched ~shards t =
   List.sort_uniq Int.compare (List.map (fun op -> shard_of_key ~shards (key_of_op op)) t.ops)

@@ -652,6 +652,63 @@ let test_fastlane_mixed_tx_keeps_locked_path () =
     (System.merge_lane_log sys ~shard:0 + System.merge_lane_log sys ~shard:1)
 
 (* ------------------------------------------------------------------ *)
+(* Hash-path memoisation (DESIGN §19)                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_golden_chain_roots () =
+  (* A fixed-seed 2-shard run with the fast lane on.  The digests below
+     were taken before the placement memo, the state/block-hash caches and
+     the native-int SHA-256 kernel went in; any hashing or memo change
+     that alters a single simulated digest fails here. *)
+  let sys =
+    System.create { (System.default_config ~shards:2 ~committee_size:3) with System.fast_lane = true }
+  in
+  let wl =
+    Workload.create (Workload.Hot_increments { increment_fraction = 0.5 }) ~keyspace:200
+      ~theta:0.8 ~rng:(Rng.create 5L)
+  in
+  Workload.setup wl sys ~initial_balance:1000;
+  Workload.start_closed_loop wl sys ~clients:2 ~outstanding:4;
+  System.run sys ~until:4.0;
+  Alcotest.(check int) "committed" 260 (System.committed sys);
+  let tip s = Repro_crypto.Sha256.to_hex (Block.hash (Block.Chain.tip (System.shard_chain sys s))) in
+  Alcotest.(check (list string)) "shard tips"
+    [
+      "a52062fb0b9791199edb746c5ff2558fa540280fc09d479d80c43d5a53d75455";
+      "260ce25a64bd51944e2cb924aa7af5b69eeec6b5409c66acfc694491446ce2ab";
+    ]
+    [ tip 0; tip 1 ];
+  Alcotest.(check (list (pair int string))) "merge roots"
+    [
+      (0, "e93926b7755d4a14466757e1300c49d5e8b0ab9fd60170a844f3d51170d6c3fb");
+      (1, "2b2afdc2b6318da5e2d232e145dafab0ea9ac2efad6b9165c65644543d3b4c14");
+    ]
+    (System.merge_roots sys);
+  for s = 0 to 1 do
+    Alcotest.(check bool) (Printf.sprintf "shard %d chain valid" s) true
+      (Block.Chain.validate (System.shard_chain sys s))
+  done
+
+(* One system per shard count, built on first use. *)
+let placement_systems =
+  Array.init 13 (fun i ->
+      lazy (System.create (System.default_config ~shards:(i + 1) ~committee_size:3)))
+
+let prop_placement_memo_matches_hash =
+  QCheck.Test.make ~name:"System.shard_of_key = Tx.shard_of_key" ~count:500
+    QCheck.(pair (int_range 1 13) (small_list (string_of_size Gen.(0 -- 12))))
+    (fun (shards, keys) ->
+      let sys = Lazy.force placement_systems.(shards - 1) in
+      let tx = Tx.make ~txid:0 (List.map (fun key -> Tx.Get { key }) keys) in
+      (* Twice over: the first lookup fills the memo, the second reads it. *)
+      List.for_all
+        (fun key ->
+          let expected = Tx.shard_of_key ~shards key in
+          System.shard_of_key sys key = expected && System.shard_of_key sys key = expected)
+        keys
+      && System.shards_touched sys tx = Tx.shards_touched ~shards tx)
+
+(* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -776,6 +833,9 @@ let () =
             test_fastlane_duplicate_delta_leg_idempotent;
           Alcotest.test_case "mixed tx keeps 2PC" `Quick test_fastlane_mixed_tx_keeps_locked_path;
         ] );
+      ( "hash memo",
+        Alcotest.test_case "golden chain roots" `Quick test_golden_chain_roots
+        :: List.map QCheck_alcotest.to_alcotest [ prop_placement_memo_matches_hash ] );
       ( "workload",
         [
           Alcotest.test_case "smallbank setup/gen" `Quick test_workload_smallbank_setup_and_gen;

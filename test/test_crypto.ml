@@ -53,6 +53,48 @@ let test_sha256_of_raw_rejects_bad_length () =
   Alcotest.check_raises "31 bytes" (Sha256.Not_a_digest 31) (fun () ->
       ignore (Sha256.of_raw_exn (String.make 31 'x')))
 
+(* Padding boundaries: 55 bytes is the longest message whose length fits
+   in its last block, 56..63 spill the length into a second block, and
+   119/120 repeat the edge one block later.  Expected digests computed
+   independently with Python's hashlib over bytes [i land 0xff]. *)
+let boundary_msg n = String.init n (fun i -> Char.chr (i land 0xff))
+
+let test_sha256_padding_boundaries () =
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%d bytes" n) expected (hex_of (boundary_msg n)))
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (57, "2fe741af801cc238602ac0ec6a7b0c3a8a87c7fc7d7f02a3fe03d1c12eac4d8f");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+      (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+      (1000, "a8af099bf2e878609558dbf69d8f88f4a31040a8cf84b549a0cfa912f12ffc3f");
+    ]
+
+let test_sha256_concat_every_split () =
+  (* Two- and three-part feeds at every offset of a 130-byte message: the
+     partial-block buffer must carry over across each split point. *)
+  let msg = boundary_msg 130 in
+  let expected = "8d39b60b9c767c58975b270c1d6b13c9b4507e5aee7ad496a3528e4c7f880721" in
+  for cut = 0 to 130 do
+    let parts = [ String.sub msg 0 cut; String.sub msg cut (130 - cut) ] in
+    Alcotest.(check string) (Printf.sprintf "split at %d" cut) expected
+      (Sha256.to_hex (Sha256.digest_concat parts));
+    let mid = cut / 2 in
+    let parts3 =
+      [ String.sub msg 0 mid; String.sub msg mid (cut - mid); String.sub msg cut (130 - cut) ]
+    in
+    Alcotest.(check string) (Printf.sprintf "three-way split at %d/%d" mid cut) expected
+      (Sha256.to_hex (Sha256.digest_concat parts3))
+  done
+
 (* RFC 4231 HMAC-SHA256 test vectors. *)
 let test_hmac_rfc4231_case1 () =
   let key = String.make 20 '\x0b' in
@@ -98,6 +140,22 @@ let test_merkle_leaf_node_domain_separation () =
   let fake_leaf = (l : Sha256.digest :> string) ^ (r : Sha256.digest :> string) in
   Alcotest.(check bool) "no second-preimage by type confusion" false
     (Sha256.equal (Merkle.root [ "x"; "y" ]) (Merkle.leaf_hash fake_leaf))
+
+let test_merkle_pinned_roots () =
+  (* Roots over "tx-<i>" leaves, pinned from the list-based reduction the
+     in-place array reduction replaced: any change to the tree shape (odd
+     promotion, pairing order, domain prefixes) changes one of these. *)
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%d leaves" n) expected
+        (Sha256.to_hex (Merkle.root (leaves n))))
+    [
+      (1, "9ed0fc0110425b37c04d982fc41cc9573716173f95ad9404b1cc6399c0e31780");
+      (2, "10555b9ebbe7151188355576176c15bdd621e7c8a65be4430c86abbd72ef6a0d");
+      (3, "a0feb586b7560f169566c6cf028371908065915184871962c82c3d9de9789900");
+      (5, "6fe1df8848edee79ac092daa75c74ac8833e80d172790ede8a33b198ff1d718e");
+      (100, "25a14caeda6225c0c13ff922f4a8d5f1f56c589f9befed80061db1f18466e006");
+    ]
 
 let test_merkle_proof_verifies_all_sizes () =
   List.iter
@@ -286,6 +344,8 @@ let () =
           Alcotest.test_case "incremental chunking" `Quick test_sha256_incremental_matches_oneshot;
           Alcotest.test_case "raw roundtrip" `Quick test_sha256_of_raw_roundtrip;
           Alcotest.test_case "raw rejects bad length" `Quick test_sha256_of_raw_rejects_bad_length;
+          Alcotest.test_case "padding boundaries" `Quick test_sha256_padding_boundaries;
+          Alcotest.test_case "concat every split" `Quick test_sha256_concat_every_split;
           Alcotest.test_case "hmac rfc4231 case 1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "hmac rfc4231 case 2" `Quick test_hmac_rfc4231_case2;
           Alcotest.test_case "hmac long key" `Quick test_hmac_rfc4231_long_key;
@@ -296,6 +356,7 @@ let () =
           Alcotest.test_case "single leaf" `Quick test_merkle_single_leaf;
           Alcotest.test_case "order sensitivity" `Quick test_merkle_order_sensitivity;
           Alcotest.test_case "domain separation" `Quick test_merkle_leaf_node_domain_separation;
+          Alcotest.test_case "pinned roots" `Quick test_merkle_pinned_roots;
           Alcotest.test_case "proofs verify (all sizes)" `Quick test_merkle_proof_verifies_all_sizes;
           Alcotest.test_case "rejects wrong leaf" `Quick test_merkle_proof_rejects_wrong_leaf;
           Alcotest.test_case "rejects wrong root" `Quick test_merkle_proof_rejects_wrong_root;

@@ -252,6 +252,52 @@ let test_chain_link_verification () =
   let forged = { b1 with Block.txs = [ "b" ] } in
   Alcotest.(check bool) "tampered txs detected" false (Block.verify_link ~parent:g ~child:forged)
 
+let test_chain_append_links_like_next () =
+  (* Chain.append links to its cached tip hash; Block.next re-hashes the
+     parent.  Both must produce the very same blocks. *)
+  let state_root = Repro_crypto.Sha256.digest_string "s0" in
+  let c = Block.Chain.create ~state_root in
+  let by_next = ref (Block.genesis state_root) in
+  List.iteri
+    (fun i txs ->
+      let timestamp = float_of_int (i + 1) in
+      let appended = Block.Chain.append c ~txs ~state_root ~timestamp in
+      by_next := Block.next ~parent:!by_next ~txs ~state_root ~timestamp;
+      Alcotest.(check string)
+        (Printf.sprintf "block %d hash" (i + 1))
+        (Repro_crypto.Sha256.to_hex (Block.hash !by_next))
+        (Repro_crypto.Sha256.to_hex (Block.hash appended)))
+    [ [ "t1"; "t2" ]; []; [ "t3" ]; [ "t4"; "t5"; "t6" ] ]
+
+let test_chain_rejects_forged_parent_header () =
+  (* Rewrite a committed block's header in place (its state root): every
+     child still points at the original header hash, and validation must
+     notice because it re-hashes headers rather than trusting a cache. *)
+  let state_root = Repro_crypto.Sha256.digest_string "s0" in
+  let c = Block.Chain.create ~state_root in
+  for i = 1 to 3 do
+    ignore (Block.Chain.append c ~txs:[ Printf.sprintf "t%d" i ] ~state_root ~timestamp:1.0)
+  done;
+  let block h =
+    match Block.Chain.at c h with Some b -> b | None -> Alcotest.fail "missing block"
+  in
+  let forged =
+    let b = block 1 in
+    {
+      b with
+      Block.header =
+        { b.Block.header with Block.state_root = Repro_crypto.Sha256.digest_string "forged" };
+    }
+  in
+  let adopt blocks =
+    match Block.Chain.of_blocks blocks with Some c -> c | None -> Alcotest.fail "empty chain"
+  in
+  Alcotest.(check bool) "honest copy validates" true
+    (Block.Chain.validate (adopt [ block 3; block 2; block 1; block 0 ]));
+  Alcotest.(check bool) "forged parent header rejected" false
+    (Block.Chain.validate (adopt [ block 3; block 2; forged; block 0 ]));
+  Alcotest.(check bool) "no blocks, no chain" true (Block.Chain.of_blocks [] = None)
+
 let test_chain_tx_inclusion_proof () =
   let state_root = Repro_crypto.Sha256.digest_string "s0" in
   let g = Block.genesis state_root in
@@ -724,6 +770,64 @@ let prop_merge_identity =
   QCheck.Test.make ~name:"merge identity is neutral" ~count:300 delta_arb (fun d ->
       Merge.combine d (Merge.identity d) = Some (Merge.canon d))
 
+(* The state's snapshot/root memo against a memo-free model: after any
+   interleaving of writes and reads, the memoised root and snapshot must
+   equal those of a fresh State.restore of the model's entries. *)
+type state_op = Put of int * int | Delete of int | Read_root | Read_snapshot
+
+let state_op_arb =
+  QCheck.(
+    map
+      (fun (tag, k, v) ->
+        match tag with
+        | 0 | 1 -> Put (k, v)
+        | 2 -> Delete k
+        | 3 -> Read_root
+        | _ -> Read_snapshot)
+      (triple (int_bound 4) (int_bound 7) (int_bound 99)))
+
+let prop_state_memo_matches_restore =
+  QCheck.Test.make ~name:"memoised root/snapshot equal a fresh restore" ~count:300
+    QCheck.(list_of_size Gen.(1 -- 40) state_op_arb)
+    (fun ops ->
+      let s = State.create () in
+      let model = Hashtbl.create 8 in
+      let key k = "k" ^ string_of_int k in
+      let entries () =
+        List.sort (fun (a, _) (b, _) -> String.compare a b) (List.of_seq (Hashtbl.to_seq model))
+      in
+      let snapshot_agrees () =
+        let snap = State.snapshot s and expected = entries () in
+        List.length snap = List.length expected
+        && List.for_all2
+             (fun (ka, (va : State.value)) (kb, (vb : State.value)) ->
+               ka = kb && va.data = vb.data && va.version = vb.version)
+             snap expected
+      in
+      let root_agrees () =
+        Repro_crypto.Sha256.equal (State.root s) (State.root (State.restore (entries ())))
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Put (k, v) ->
+              let version =
+                match Hashtbl.find_opt model (key k) with
+                | Some (old : State.value) -> old.version + 1
+                | None -> 0
+              in
+              State.put s (key k) (string_of_int v);
+              Hashtbl.replace model (key k) { State.data = string_of_int v; version };
+              true
+          | Delete k ->
+              State.delete s (key k);
+              Hashtbl.remove model (key k);
+              true
+          | Read_root -> root_agrees ()
+          | Read_snapshot -> snapshot_agrees ())
+        ops
+      && root_agrees () && snapshot_agrees ())
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -734,6 +838,7 @@ let qsuite =
       prop_merge_combine_commutative;
       prop_merge_combine_associative;
       prop_merge_identity;
+      prop_state_memo_matches_restore;
     ]
 
 let () =
@@ -783,6 +888,8 @@ let () =
         [
           Alcotest.test_case "append/validate" `Quick test_chain_append_and_validate;
           Alcotest.test_case "link verification" `Quick test_chain_link_verification;
+          Alcotest.test_case "append links like next" `Quick test_chain_append_links_like_next;
+          Alcotest.test_case "forged parent header" `Quick test_chain_rejects_forged_parent_header;
           Alcotest.test_case "tx inclusion proof" `Quick test_chain_tx_inclusion_proof;
         ] );
       ( "chaincode",

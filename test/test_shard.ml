@@ -446,6 +446,43 @@ let test_state_transfer_rejects_tampered () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "doctored snapshot accepted"
 
+let test_state_transfer_cached_pack () =
+  (* A second pack of an unchanged state reuses the memoised root; a
+     doctored copy of that package must still fail, because the joiner
+     recomputes the root from the restored entries.  After a write the
+     memo is gone and the next package carries the new root. *)
+  let open Repro_ledger in
+  let s = State.create () in
+  State.put s "acc1" "100";
+  State.put s "acc2" "50";
+  let first = State_transfer.pack s in
+  let cached = State_transfer.pack s in
+  Alcotest.(check bool) "same claimed root" true
+    (Repro_crypto.Sha256.equal (State_transfer.claimed_root first)
+       (State_transfer.claimed_root cached));
+  let expected_root = State.root s in
+  (match
+     State_transfer.verify_and_restore
+       (State_transfer.tamper cached ~key:"acc1" ~value:"1000000")
+       ~expected_root
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "doctored cached package accepted");
+  (match
+     State_transfer.verify_and_restore
+       (State_transfer.tamper cached ~key:"acc9" ~value:"7")
+       ~expected_root
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "injected key accepted");
+  State.put s "acc1" "90";
+  let fresh = State_transfer.pack s in
+  Alcotest.(check bool) "write invalidates the memo" false
+    (Repro_crypto.Sha256.equal (State_transfer.claimed_root fresh) expected_root);
+  match State_transfer.verify_and_restore fresh ~expected_root:(State.root s) with
+  | Ok restored -> Alcotest.(check bool) "restored = live" true (State.equal s restored)
+  | Error e -> Alcotest.fail e
+
 let test_state_transfer_rejects_wrong_root () =
   let open Repro_ledger in
   let s = State.create () in
@@ -589,6 +626,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_state_transfer_roundtrip;
           Alcotest.test_case "rejects tampered" `Quick test_state_transfer_rejects_tampered;
           Alcotest.test_case "rejects wrong root" `Quick test_state_transfer_rejects_wrong_root;
+          Alcotest.test_case "cached pack still verified" `Quick test_state_transfer_cached_pack;
           Alcotest.test_case "transfer time scales" `Quick test_state_transfer_time_scales;
         ] );
       ( "omniledger",
