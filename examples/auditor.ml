@@ -35,7 +35,8 @@ let () =
       (fun txs ->
         List.iter (fun tx -> ignore (Executor.execute_single state ~txid:tx.Tx.txid tx.Tx.ops)) txs;
         let body = List.map Tx.serialize txs in
-        (Block.Chain.append chain ~txs:body ~state_root:(State.root state) ~timestamp:0.0, txs))
+        Block.Chain.append chain ~txs:body ~state_root:(State.root state) ~timestamp:0.0;
+        (Block.Chain.tip chain, txs))
       blocks_of_txs
   in
   Printf.printf "chain height: %d, full validation: %b\n" (Block.Chain.height chain)

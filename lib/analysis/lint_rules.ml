@@ -77,6 +77,11 @@ let r1_banned_tables =
   [
     ("Hashtbl", "iter", "iterates in hash-bucket order; use Repro_util.Det.iter ~compare");
     ("Hashtbl", "fold", "folds in hash-bucket order; use Repro_util.Det.fold ~compare");
+    ("Hashtbl", "to_seq", "yields in hash-bucket order; use Repro_util.Det.bindings ~compare");
+    ("Hashtbl", "to_seq_keys", "yields in hash-bucket order; use Repro_util.Det.keys ~compare");
+    ( "Hashtbl",
+      "to_seq_values",
+      "yields in hash-bucket order; use Repro_util.Det.bindings ~compare" );
   ]
 
 let r2_banned_idents =

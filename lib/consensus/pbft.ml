@@ -4,6 +4,8 @@ open Repro_sgx
 open Types
 module Probe = Repro_obs.Probe
 module Ev = Repro_obs.Event
+module Det = Repro_util.Det
+module Int_tbl = Det.Int_tbl
 
 type msg =
   | Request of { req : request; relayed : bool }
@@ -60,9 +62,9 @@ type replica = {
   mutable next_seq : int;
   pending : request Queue.t;
   mutable oldest_pending_since : float;
-  queued : (int, unit) Hashtbl.t; (* req ids in pending or proposed by me *)
-  known : (int, request) Hashtbl.t; (* unexecuted requests this replica knows *)
-  executed : (int, unit) Hashtbl.t;
+  queued : unit Int_tbl.t; (* req ids in pending or proposed by me *)
+  known : request Int_tbl.t; (* unexecuted requests this replica knows *)
+  executed : unit Int_tbl.t;
   preprep : (int, int * int * request list) Hashtbl.t; (* seq -> view, digest, batch *)
   prepares : Quorum.t;
   commits : Quorum.t;
@@ -168,8 +170,9 @@ let phase_index = function Prepare_phase -> 1 | Commit_phase -> 2
 let a2m_log ~phase_idx ~view = (view * 4) + phase_idx
 
 let vote_tag ~phase ~view ~seq ~digest =
-  Repro_util.Det.stable_hash
-    (Printf.sprintf "rvote:%d:%d:%d:%d" (phase_index phase) view seq digest)
+  Det.fnv_init |> Det.fnv_string "rvote:" |> Det.fnv_int (phase_index phase)
+  |> Det.fnv_string ":" |> Det.fnv_int view |> Det.fnv_string ":" |> Det.fnv_int seq
+  |> Det.fnv_string ":" |> Det.fnv_int digest |> Det.fnv_finish
 
 let bytes_of_msg (cfg : Config.t) = function
   | Request { req; _ } | Forward req -> cfg.request_overhead_bytes + req.size
@@ -300,9 +303,9 @@ let make_replica c ~enclave_base_id index =
     next_seq = 1;
     pending = Queue.create ();
     oldest_pending_since = infinity;
-    queued = Hashtbl.create 256;
-    known = Hashtbl.create 256;
-    executed = Hashtbl.create 1024;
+    queued = Int_tbl.create 256;
+    known = Int_tbl.create 256;
+    executed = Int_tbl.create 1024;
     preprep = Hashtbl.create 128;
     prepares = Quorum.create ~n:c.cfg.Config.n;
     commits = Quorum.create ~n:c.cfg.Config.n;
@@ -369,16 +372,16 @@ let create ~engine ~keystore ~costs ~config ~faults ~metrics ~enclave_base_id ~s
 (* ------------------------------------------------------------------ *)
 
 let add_known c r req =
-  if (not (Hashtbl.mem r.executed req.req_id)) && not (Hashtbl.mem r.known req.req_id) then begin
-    if Hashtbl.length r.known = 0 then r.earliest_known <- now c;
-    Hashtbl.replace r.known req.req_id req
+  if (not (Int_tbl.mem r.executed req.req_id)) && not (Int_tbl.mem r.known req.req_id) then begin
+    if Int_tbl.length r.known = 0 then r.earliest_known <- now c;
+    Int_tbl.replace r.known req.req_id req
   end
 
 let add_pending c r req =
-  if (not (Hashtbl.mem r.executed req.req_id)) && not (Hashtbl.mem r.queued req.req_id) then begin
+  if (not (Int_tbl.mem r.executed req.req_id)) && not (Int_tbl.mem r.queued req.req_id) then begin
     if Queue.is_empty r.pending then r.oldest_pending_since <- now c;
     Queue.add req r.pending;
-    Hashtbl.replace r.queued req.req_id ()
+    Int_tbl.replace r.queued req.req_id ()
   end
 
 let relay_pool_key ~phase ~view ~seq ~digest = (phase_index phase, view, seq, digest)
@@ -562,13 +565,13 @@ and try_execute c r =
   | None -> ()
   | Some (view, digest, batch) ->
       let seq = r.last_exec + 1 in
-      let fresh = List.filter (fun q -> not (Hashtbl.mem r.executed q.req_id)) batch in
+      let fresh = List.filter (fun q -> not (Int_tbl.mem r.executed q.req_id)) batch in
       charge_exec c r (float_of_int (List.length fresh) *. c.costs.Cost_model.tx_execute);
       List.iter
         (fun q ->
-          Hashtbl.replace r.executed q.req_id ();
-          Hashtbl.remove r.known q.req_id;
-          Hashtbl.remove r.queued q.req_id)
+          Int_tbl.replace r.executed q.req_id ();
+          Int_tbl.remove r.known q.req_id;
+          Int_tbl.remove r.queued q.req_id)
         batch;
       c.commit_hook ~member:r.index ~view ~seq ~digest ~batch;
       c.execute_cb ~member:r.index ~seq fresh;
@@ -595,8 +598,7 @@ and try_execute c r =
          replicas execute identical batches in identical order, so equal
          [last_exec] implies equal [exec_root] — certifying it certifies the
          state (DESIGN §16).  Keep the slot in the replay ring. *)
-      r.exec_root <-
-        Repro_util.Det.stable_hash (Printf.sprintf "ckpt:%d:%d:%d" r.exec_root seq digest);
+      r.exec_root <- chain_exec_root ~root:r.exec_root ~seq ~digest;
       Hashtbl.replace r.history seq (view, digest, batch);
       Hashtbl.remove r.history (seq - c.cfg.Config.watermark_window);
       if seq mod c.cfg.Config.checkpoint_interval = 0 then begin
@@ -833,10 +835,10 @@ and adopt_new_view c r ~view ~reproposals =
       let max_repro = List.fold_left (fun acc (s, _, _) -> Int.max acc s) 0 reproposals in
       r.next_seq <- 1 + List.fold_left Int.max 0 [ r.last_stable; r.last_exec; max_repro; r.next_seq - 1 ];
       (* Requeue everything I know about that is not in flight. *)
-      Hashtbl.reset r.queued;
-      Queue.iter (fun q -> Hashtbl.replace r.queued q.req_id ()) r.pending;
-      List.iter (fun (_, _, batch) -> List.iter (fun q -> Hashtbl.replace r.queued q.req_id ()) batch) reproposals;
-      Repro_util.Det.iter ~compare:Int.compare (fun _ q -> add_pending c r q) r.known;
+      Int_tbl.reset r.queued;
+      Queue.iter (fun q -> Int_tbl.replace r.queued q.req_id ()) r.pending;
+      List.iter (fun (_, _, batch) -> List.iter (fun q -> Int_tbl.replace r.queued q.req_id ()) batch) reproposals;
+      Int_tbl.iter_sorted (fun _ q -> add_pending c r q) r.known;
       (* Fill every slot below [next_seq] that neither committed nor got a
          re-proposal with a no-op batch (Castro–Liskov null requests): a
          proposal that died unprepared in the old view leaves a hole that
@@ -861,7 +863,7 @@ and adopt_new_view c r ~view ~reproposals =
       (* Hand the new leader the requests we still wait on. *)
       let leader = leader_of_view_int c view in
       let budget = ref 128 in
-      Repro_util.Det.iter ~compare:Int.compare
+      Int_tbl.iter_sorted
         (fun _ q ->
           if !budget > 0 then begin
             decr budget;
@@ -1104,7 +1106,7 @@ and byz_handle c r m =
 
 let handle_request c r req ~relayed =
   parse_in c r c.cfg.Config.request_parse_cost;
-  if not (Hashtbl.mem r.executed req.req_id) then begin
+  if not (Int_tbl.mem r.executed req.req_id) then begin
     add_known c r req;
     let variant = c.cfg.Config.variant in
     if variant.Config.forward_requests then begin
@@ -1233,8 +1235,8 @@ let adopt_checkpoint c r ~seq ~digest =
     Hashtbl.replace r.roots seq digest;
     Queue.clear r.pending;
     r.oldest_pending_since <- infinity;
-    Hashtbl.reset r.queued;
-    Hashtbl.reset r.known;
+    Int_tbl.reset r.queued;
+    Int_tbl.reset r.known;
     r.earliest_known <- infinity;
     r.next_seq <- Int.max r.next_seq (seq + 1);
     if not (Hashtbl.mem r.ckpt_certs seq) then
@@ -1392,7 +1394,7 @@ let watchdog c r () =
     let timeout = c.cfg.Config.progress_timeout in
     let t = now c in
     if
-      Hashtbl.length r.known > 0
+      Int_tbl.length r.known > 0
       && t -. r.last_exec_time > timeout
       && t -. r.earliest_known > timeout
     then begin
@@ -1401,7 +1403,7 @@ let watchdog c r () =
          their timers arm too — without it, a request known to one replica
          whose forward was lost can never assemble a view-change quorum. *)
       let budget = ref 64 in
-      Repro_util.Det.iter ~compare:Int.compare
+      Int_tbl.iter_sorted
         (fun _ req ->
           if !budget > 0 then begin
             decr budget;
@@ -1442,7 +1444,7 @@ let last_executed c ~member = c.replicas.(member).last_exec
 
 let view_changes c = Metrics.counter c.metrics "view_changes"
 
-let known_backlog c ~member = Hashtbl.length c.replicas.(member).known
+let known_backlog c ~member = Int_tbl.length c.replicas.(member).known
 
 let last_stable c ~member = c.replicas.(member).last_stable
 
@@ -1461,7 +1463,7 @@ let notify_recovered c ~member =
   let r = c.replicas.(member) in
   r.fetching <- false;
   r.last_exec_time <- now c;
-  r.earliest_known <- (if Hashtbl.length r.known > 0 then now c else infinity);
+  r.earliest_known <- (if Int_tbl.length r.known > 0 then now c else infinity);
   if not (is_byz c r) then request_catch_up c r
 
 let reset_member c ~member =
@@ -1479,9 +1481,9 @@ let reset_member c ~member =
   Queue.clear r.pending;
   r.oldest_pending_since <- infinity;
   r.earliest_known <- infinity;
-  List.iter Hashtbl.reset
-    [ r.queued; r.executed ];
-  Hashtbl.reset r.known;
+  Int_tbl.reset r.queued;
+  Int_tbl.reset r.executed;
+  Int_tbl.reset r.known;
   Hashtbl.reset r.preprep;
   Hashtbl.reset r.prepared;
   Hashtbl.reset r.committed;

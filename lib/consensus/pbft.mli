@@ -176,6 +176,11 @@ val consensus_channel : Repro_sim.Inbox.channel
 val bytes_of_msg : Config.t -> msg -> int
 (** Wire size estimate used by embeddings when sending. *)
 
+val vote_tag : phase:phase -> view:int -> seq:int -> digest:int -> int
+(** The statement a relay vote signs and a quorum certificate aggregates:
+    [stable_hash (sprintf "rvote:%d:%d:%d:%d" p view seq digest)] with [p]
+    1 for prepare and 2 for commit, hashed without building the string. *)
+
 val leader_of_view : committee -> int -> int
 
 val current_view : committee -> member:int -> int

@@ -14,14 +14,16 @@ val request :
 
 type phase = Prepare_phase | Commit_phase
 
-val phase_log : phase -> int
-(** A2M log index for a phase (pre-prepare uses log 0). *)
-
 val digest_of_batch : request list -> int
 (** Structural batch digest used as the value agreed upon.  (Real SHA-256
     hashing of batches is exercised by the ledger layer; consensus charges
-    hash cost to the simulated clock instead — see DESIGN.md.) *)
+    hash cost to the simulated clock instead — see DESIGN.md.)  Equal to
+    [stable_hash] of ["batch:"] followed by the comma-separated request
+    ids, hashed without building that string. *)
+
+val chain_exec_root : root:int -> seq:int -> digest:int -> int
+(** One step of a replica's executed-state chain: folds the batch digest
+    executed at [seq] into the running [root], as
+    [stable_hash (sprintf "ckpt:%d:%d:%d" root seq digest)]. *)
 
 val batch_bytes : request list -> int
-
-val pp_phase : Format.formatter -> phase -> unit

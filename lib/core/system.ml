@@ -86,6 +86,9 @@ type committee_ctx = {
   mutable state_commit : Sha256.digest;
       (* rolling state commitment chained per block; recomputing the full
          Merkle root over the whole state each block would be O(state) *)
+  snapshots : State_transfer.server;
+      (* serves [state] to joiners: one package, verified once, per
+         version of the state *)
 }
 
 (* Book-keeping for one in-flight cross-shard transaction. *)
@@ -502,9 +505,7 @@ let record_block t ctx batch =
   let txs = List.map (fun (r : Types.request) -> Printf.sprintf "req-%d" r.Types.req_id) batch in
   ctx.state_commit <-
     Sha256.digest_concat (Sha256.to_raw ctx.state_commit :: txs);
-  ignore
-    (Block.Chain.append ctx.chain ~txs ~state_root:ctx.state_commit
-       ~timestamp:(Engine.now t.engine))
+  Block.Chain.append ctx.chain ~txs ~state_root:ctx.state_commit ~timestamp:(Engine.now t.engine)
 
 (* Deliver a shard's quorum answer for a prepare to whoever coordinates. *)
 let emit_vote t ctx (req : Types.request) ~txid ~ok =
@@ -917,6 +918,7 @@ let create cfg =
         prepared = Hashtbl.create 64;
         mlane = Merge.lane ();
         state_commit = State.root state;
+        snapshots = State_transfer.server state;
       }
     in
     ctx_ref := Some ctx;
@@ -930,7 +932,7 @@ let create cfg =
     Pbft.set_snapshot_hook pbft (fun ~member ~seq:_ ~digest:_ ~k ->
         if member = Pbft.observer pbft then k false
         else begin
-          let pkg = State_transfer.pack ctx.state in
+          let pkg = State_transfer.serve ctx.snapshots in
           let expected = State_transfer.claimed_root pkg in
           let pkg =
             if Hashtbl.mem t.corrupt_snapshot index then begin
@@ -950,7 +952,7 @@ let create cfg =
             Probe.observe t.probe "ckpt.transfer_s" (transfer +. verify)
           end;
           Engine.schedule t.engine ~delay:(transfer +. verify) (fun () ->
-              match State_transfer.verify_and_restore pkg ~expected_root:expected with
+              match State_transfer.verify pkg ~expected_root:expected with
               | Ok _ -> k true
               | Error _ -> k false)
         end);
@@ -1300,7 +1302,7 @@ let advance_epoch t ~at ~seed ~epoch ~strategy =
      committee, amortized). *)
   let fetch_time step =
     let dst = Stdlib.min step.Assignment.to_committee (t.cfg.shards - 1) in
-    let pkg = State_transfer.pack t.committees.(dst).state in
+    let pkg = State_transfer.serve t.committees.(dst).snapshots in
     let transfer = State_transfer.transfer_time t.cfg.topology pkg in
     (* Verification recomputes the Merkle root: charged at Table-2 SHA
        throughput over the package. *)

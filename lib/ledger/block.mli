@@ -41,17 +41,23 @@ module Chain : sig
   (** Adopt blocks received from a peer, newest first ([None] if empty).
       Nothing is checked: run {!validate} before trusting them. *)
 
-  val append : chain -> txs:string list -> state_root:Repro_crypto.Sha256.digest -> timestamp:float -> t
-  (** Links to the tip by its header hash, computed once when the tip was
-      appended, and hashes the new block's header once. *)
+  val append :
+    chain -> txs:string list -> state_root:Repro_crypto.Sha256.digest -> timestamp:float -> unit
+  (** Records the next block without hashing anything.  The first read
+      ({!tip}, {!at}, {!validate}) seals every pending block in order —
+      its tx root, then its header hash, which the next block links to —
+      so the blocks are exactly those {!next} would build. *)
 
   val tip : chain -> t
+  (** Seals pending blocks first. *)
 
   val height : chain -> int
+  (** Counts pending blocks; hashes nothing. *)
 
   val at : chain -> int -> t option
+  (** Seals pending blocks first. *)
 
   val validate : chain -> bool
-  (** Recheck every link and every tx root; the integrity test for
-      rollback/tampering scenarios. *)
+  (** Seals pending blocks, then rechecks every link and every tx root;
+      the integrity test for rollback/tampering scenarios. *)
 end

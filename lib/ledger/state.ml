@@ -3,19 +3,24 @@ open Repro_crypto
 type value = { data : string; version : int }
 
 (* [snap] and [root_memo] cache the sorted snapshot and its Merkle root.
-   Every write goes through [put]/[delete], which clear both, so a cached
-   value always describes the current table. *)
+   Every write goes through [put]/[delete], which clear both and bump
+   [writes], so a cached value always describes the current table and
+   an unchanged [writes] means an unchanged table. *)
 type t = {
   table : (string, value) Hashtbl.t;
   mutable snap : (string * value) list option;
   mutable root_memo : Sha256.digest option;
+  mutable writes : int;
 }
 
-let create () = { table = Hashtbl.create 256; snap = None; root_memo = None }
+let create () = { table = Hashtbl.create 256; snap = None; root_memo = None; writes = 0 }
 
 let invalidate t =
   t.snap <- None;
-  t.root_memo <- None
+  t.root_memo <- None;
+  t.writes <- t.writes + 1
+
+let writes t = t.writes
 
 let get t key = Hashtbl.find_opt t.table key
 

@@ -21,6 +21,10 @@ val delete : t -> string -> unit
 
 val mem : t -> string -> bool
 
+val writes : t -> int
+(** How many {!put}s and {!delete}s this state has taken: equal counts
+    on the same state mean nothing changed in between. *)
+
 val keys : t -> string list
 (** Sorted. *)
 

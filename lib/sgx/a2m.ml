@@ -32,10 +32,10 @@ let create enclave ~watermark_window =
     hm = None;
   }
 
-let enclave t = t.enclave
-
 let proof_tag ~signer ~log ~slot ~digest_tag =
-  Repro_util.Det.stable_hash (Printf.sprintf "a2m:%d:%d:%d:%d" signer log slot digest_tag)
+  let open Repro_util.Det in
+  fnv_init |> fnv_string "a2m:" |> fnv_int signer |> fnv_string ":" |> fnv_int log
+  |> fnv_string ":" |> fnv_int slot |> fnv_string ":" |> fnv_int digest_tag |> fnv_finish
 
 let append t ~log ~slot ~digest_tag =
   let costs = Enclave.costs t.enclave in

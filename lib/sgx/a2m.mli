@@ -31,8 +31,6 @@ val create : Enclave.t -> watermark_window:int -> t
 (** [watermark_window] is L, the preset distance between low and high
     watermarks used to bound HM during recovery. *)
 
-val enclave : t -> Enclave.t
-
 val append : t -> log:int -> slot:int -> digest_tag:int -> proof option
 (** Attest [digest_tag] at [(log, slot)].  Charges the AHL-append cost.
     Returns [None] — refusing to attest — if a *different* digest is
@@ -40,6 +38,11 @@ val append : t -> log:int -> slot:int -> digest_tag:int -> proof option
     recovering.  Re-appending the same digest returns a fresh proof. *)
 
 val lookup : t -> log:int -> slot:int -> int option
+
+val proof_tag : signer:int -> log:int -> slot:int -> digest_tag:int -> int
+(** The statement an append proof signs:
+    [stable_hash (sprintf "a2m:%d:%d:%d:%d" signer log slot digest_tag)],
+    hashed without building the string. *)
 
 val verify : Repro_crypto.Keys.keystore -> proof -> bool
 (** Pure proof check (callers charge verification cost to their own CPU). *)

@@ -32,15 +32,61 @@ let int_triple (a1, b1, c1) (a2, b2, c2) =
 
 (* FNV-1a over the bytes of an explicit rendering: unlike the polymorphic
    [Hashtbl.hash] it replaces (ahl_lint rule R8), the result depends only
-   on the string, never on value layout or the OCaml version. *)
-let stable_hash s =
-  let prime = 0x100000001b3L and basis = 0xcbf29ce484222325L in
-  let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  (* Fold to a non-negative OCaml int so it slots in anywhere a
-     [Hashtbl.hash] result did. *)
-  Int64.to_int (Int64.logand !h 0x3fffffffffffffffL)
+   on the bytes, never on value layout or the OCaml version.
+
+   The state is a native int, so hashing allocates nothing.  That is the
+   64-bit FNV-1a of the reference definition, bit for bit in the 62 bits
+   we keep: xor by a byte and multiplication modulo a power of two both
+   leave the low bits of the result depending only on the low bits of the
+   operands, so computing modulo 2^63 (OCaml's [int]) instead of 2^64
+   changes nothing below bit 62.  The basis is the 64-bit offset basis
+   reduced the same way. *)
+type fnv = int
+
+let fnv_prime = 0x100000001b3
+
+(* 0xcbf29ce484222325 with its top two bits cleared. *)
+let fnv_init = 0x0bf29ce484222325
+
+let fnv_byte h b = (h lxor b) * fnv_prime
+
+let fnv_string s h =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code s.[i])
+  done;
+  !h
+
+(* The digits of [n <= 0] as [%d] prints [-n], most significant first.
+   Working on the non-positive side covers [min_int], whose negation
+   overflows. *)
+let rec fnv_digits h n =
+  if n > -10 then fnv_byte h (48 - n) else fnv_byte (fnv_digits h (n / 10)) (48 - (n mod 10))
+
+let fnv_int n h = if n < 0 then fnv_digits (fnv_byte h 45) n else fnv_digits h (-n)
+
+(* Fold to a non-negative OCaml int so it slots in anywhere a
+   [Hashtbl.hash] result did. *)
+let fnv_finish h = h land 0x3fffffffffffffff
+
+let stable_hash s = fnv_finish (fnv_string s fnv_init)
+
+module Int_tbl = struct
+  (* Keys are request ids and the like: a multiply-xorshift spreads
+     strided ids over the buckets without a call into the runtime's
+     polymorphic hash. *)
+  include Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+
+    let hash k =
+      let h = k * 0x2545f4914f6cdd1d in
+      (h lxor (h lsr 29)) land max_int
+  end)
+
+  let iter_sorted f t =
+    (* Bucket order never escapes: sorted before the first [f]. *)
+    let raw = fold (fun k v acc -> (k, v) :: acc) t [] in
+    List.iter (fun (k, v) -> f k v) (List.sort (fun (a, _) (b, _) -> Int.compare a b) raw)
+end

@@ -27,6 +27,15 @@ let test_r1_negative () =
   let fs = check_fixture "r1_negative.ml" in
   Alcotest.(check int) "no findings" 0 (List.length (active fs))
 
+let test_r1_seq_positive () =
+  let fs = check_fixture "r1_seq_positive.ml" in
+  Alcotest.(check int) "three R1 findings" 3 (count Lint_types.R1 fs);
+  Alcotest.(check int) "nothing else" 3 (List.length (active fs))
+
+let test_r1_seq_negative () =
+  let fs = check_fixture "r1_seq_negative.ml" in
+  Alcotest.(check int) "no findings" 0 (List.length (active fs))
+
 let test_r1_inline_allow () =
   let fs = check_fixture "r1_allowed.ml" in
   Alcotest.(check int) "finding still produced" 1 (List.length fs);
@@ -397,6 +406,8 @@ let () =
         [
           Alcotest.test_case "positive fixture fires" `Quick test_r1_positive;
           Alcotest.test_case "negative fixture quiet" `Quick test_r1_negative;
+          Alcotest.test_case "table sequences fire" `Quick test_r1_seq_positive;
+          Alcotest.test_case "sorted views and of_seq quiet" `Quick test_r1_seq_negative;
           Alcotest.test_case "inline allow suppresses" `Quick test_r1_inline_allow;
         ] );
       ( "r2-comparison",

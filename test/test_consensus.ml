@@ -914,7 +914,47 @@ let test_pbft_partition_halts_minority () =
         (first = 1 || Pbft.last_stable fx.committee ~member:0 >= first - 1)
   | [] -> ())
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_pbft_safety_under_crash_schedules ]
+(* Tags are hashed from their renderings without building the strings;
+   each must equal the [Printf] rendering it replaced, hashed whole
+   ([Det.stable_hash] itself is pinned to an Int64 reference in
+   test_util). *)
+let edge_int =
+  QCheck.(oneof [ int; small_signed_int; oneofl [ 0; -1; 10; max_int; min_int ] ])
+
+let prop_digest_of_batch_rendering =
+  QCheck.Test.make ~name:"digest_of_batch = hash of its rendering" ~count:500
+    QCheck.(small_list edge_int)
+    (fun ids ->
+      let batch =
+        List.map (fun req_id -> Types.request ~req_id ~client:0 ~submitted:0.0 ()) ids
+      in
+      Types.digest_of_batch batch
+      = Repro_util.Det.stable_hash
+          ("batch:" ^ String.concat "," (List.map string_of_int ids)))
+
+let prop_vote_tag_rendering =
+  QCheck.Test.make ~name:"vote_tag = hash of its rendering" ~count:500
+    QCheck.(quad bool edge_int edge_int edge_int)
+    (fun (commit, view, seq, digest) ->
+      let phase, idx = if commit then (Types.Commit_phase, 2) else (Types.Prepare_phase, 1) in
+      Pbft.vote_tag ~phase ~view ~seq ~digest
+      = Repro_util.Det.stable_hash (Printf.sprintf "rvote:%d:%d:%d:%d" idx view seq digest))
+
+let prop_exec_root_rendering =
+  QCheck.Test.make ~name:"chain_exec_root = hash of its rendering" ~count:500
+    QCheck.(triple edge_int edge_int edge_int)
+    (fun (root, seq, digest) ->
+      Types.chain_exec_root ~root ~seq ~digest
+      = Repro_util.Det.stable_hash (Printf.sprintf "ckpt:%d:%d:%d" root seq digest))
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_pbft_safety_under_crash_schedules;
+      prop_digest_of_batch_rendering;
+      prop_vote_tag_rendering;
+      prop_exec_root_rendering;
+    ]
 
 let () =
   Alcotest.run "consensus"

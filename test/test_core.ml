@@ -689,6 +689,55 @@ let test_golden_chain_roots () =
       (Block.Chain.validate (System.shard_chain sys s))
   done
 
+let test_tampered_snapshot_not_reused () =
+  (* A committee serves joiners the same snapshot package, verified once,
+     until its state is written.  Drive one shard past its replay-ring
+     depth with a crashed follower, let it go quiet, then swap members in
+     one after another with the first package doctored: the doctored one
+     is rejected exactly once and every later fetch — all served from the
+     unwritten state — verifies.  Were the doctored package kept for
+     reuse, every retry would be rejected again. *)
+  let sys = make_system ~shards:1 () in
+  let trace = Repro_obs.Trace.create () in
+  let ometrics = Repro_obs.Metrics.create () in
+  System.set_probe sys (Repro_obs.Probe.make ~trace ~metrics:ometrics);
+  fund sys "src" 1_000_000;
+  System.crash_member sys ~committee:0 ~member:1;
+  for i = 1 to 400 do
+    Repro_sim.Engine.schedule (System.engine sys) ~delay:(0.05 *. float_of_int i) (fun () ->
+        System.submit sys (transfer_tx ~txid:i sys ~from_:"src" ~to_:"dst" ~amount:1))
+  done;
+  System.run sys ~until:40.0;
+  Alcotest.(check int) "all committed" 400 (System.committed sys);
+  let quiet_root = State.root (System.shard_state sys 0) in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Repro_obs.Metrics.counters ometrics))
+  in
+  System.corrupt_next_snapshot sys ~shard:0;
+  System.reset_member sys ~committee:0 ~member:1;
+  System.recover_member sys ~committee:0 ~member:1;
+  System.run sys ~until:55.0;
+  System.crash_member sys ~committee:0 ~member:2;
+  System.reset_member sys ~committee:0 ~member:2;
+  System.recover_member sys ~committee:0 ~member:2;
+  System.run sys ~until:70.0;
+  Alcotest.(check bool) "state stayed unwritten" true
+    (Repro_crypto.Sha256.equal quiet_root (State.root (System.shard_state sys 0)));
+  Alcotest.(check int) "doctored package rejected once" 1
+    (counter "ckpt.fetch.snapshot_rejected");
+  Alcotest.(check bool) "both joiners installed a snapshot" true
+    (counter "ckpt.fetch.snapshots" >= 3);
+  let cert_of m =
+    List.find_map
+      (fun (c, m', seq, root) -> if c = 0 && m' = m then Some (seq, root) else None)
+      (System.committee_checkpoints sys)
+  in
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (Printf.sprintf "member %d holds the observer's certificate" m) true
+        (cert_of m = cert_of 0 && cert_of m <> None))
+    [ 1; 2 ]
+
 (* One system per shard count, built on first use. *)
 let placement_systems =
   Array.init 13 (fun i ->
@@ -945,6 +994,8 @@ let () =
                 (List.exists
                    (fun (c, m, seq, _) -> c = 0 && m = 1 && seq >= 16)
                    (System.committee_checkpoints sys)));
+          Alcotest.test_case "tampered snapshot never reused" `Slow
+            test_tampered_snapshot_not_reused;
           Alcotest.test_case "hundred-epoch churn soak" `Slow (fun () ->
               (* Hundreds of committee reconfigurations under continuous
                  load: every epoch literally swaps members out through

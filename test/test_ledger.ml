@@ -239,8 +239,8 @@ let test_executor_single_path () =
 let test_chain_append_and_validate () =
   let state_root = Repro_crypto.Sha256.digest_string "s0" in
   let c = Block.Chain.create ~state_root in
-  ignore (Block.Chain.append c ~txs:[ "t1"; "t2" ] ~state_root ~timestamp:1.0);
-  ignore (Block.Chain.append c ~txs:[ "t3" ] ~state_root ~timestamp:2.0);
+  Block.Chain.append c ~txs:[ "t1"; "t2" ] ~state_root ~timestamp:1.0;
+  Block.Chain.append c ~txs:[ "t3" ] ~state_root ~timestamp:2.0;
   Alcotest.(check int) "height" 2 (Block.Chain.height c);
   Alcotest.(check bool) "validates" true (Block.Chain.validate c)
 
@@ -253,21 +253,88 @@ let test_chain_link_verification () =
   Alcotest.(check bool) "tampered txs detected" false (Block.verify_link ~parent:g ~child:forged)
 
 let test_chain_append_links_like_next () =
-  (* Chain.append links to its cached tip hash; Block.next re-hashes the
-     parent.  Both must produce the very same blocks. *)
+  (* Chain.append defers hashing to the first read; Block.next hashes
+     eagerly and re-hashes the parent.  Both must produce the very same
+     blocks, whether the chain is read after every append or only once
+     at the end. *)
   let state_root = Repro_crypto.Sha256.digest_string "s0" in
-  let c = Block.Chain.create ~state_root in
-  let by_next = ref (Block.genesis state_root) in
+  let batches = [ [ "t1"; "t2" ]; []; [ "t3" ]; [ "t4"; "t5"; "t6" ] ] in
+  let by_next =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (i, acc) txs ->
+              let parent = List.hd acc in
+              let timestamp = float_of_int i in
+              (i + 1, Block.next ~parent ~txs ~state_root ~timestamp :: acc))
+            (1, [ Block.genesis state_root ])
+            batches))
+  in
+  let hex b = Repro_crypto.Sha256.to_hex (Block.hash b) in
+  let read_each = Block.Chain.create ~state_root and read_once = Block.Chain.create ~state_root in
   List.iteri
     (fun i txs ->
       let timestamp = float_of_int (i + 1) in
-      let appended = Block.Chain.append c ~txs ~state_root ~timestamp in
-      by_next := Block.next ~parent:!by_next ~txs ~state_root ~timestamp;
+      Block.Chain.append read_each ~txs ~state_root ~timestamp;
+      Block.Chain.append read_once ~txs ~state_root ~timestamp;
       Alcotest.(check string)
-        (Printf.sprintf "block %d hash" (i + 1))
-        (Repro_crypto.Sha256.to_hex (Block.hash !by_next))
-        (Repro_crypto.Sha256.to_hex (Block.hash appended)))
-    [ [ "t1"; "t2" ]; []; [ "t3" ]; [ "t4"; "t5"; "t6" ] ]
+        (Printf.sprintf "tip %d hash" (i + 1))
+        (hex (List.nth by_next (i + 1)))
+        (hex (Block.Chain.tip read_each)))
+    batches;
+  List.iteri
+    (fun h expected ->
+      match Block.Chain.at read_once h with
+      | Some b -> Alcotest.(check string) (Printf.sprintf "block %d hash" h) (hex expected) (hex b)
+      | None -> Alcotest.fail "missing block")
+    by_next
+
+let test_chain_height_counts_unsealed () =
+  (* [height] answers from the append count alone; sealing later must not
+     change it, and every block sealed in one go links to its predecessor. *)
+  let state_root = Repro_crypto.Sha256.digest_string "s0" in
+  let c = Block.Chain.create ~state_root in
+  Alcotest.(check int) "genesis" 0 (Block.Chain.height c);
+  for i = 1 to 5 do
+    Block.Chain.append c ~txs:[ Printf.sprintf "t%d" i ] ~state_root ~timestamp:(float_of_int i);
+    Alcotest.(check int) (Printf.sprintf "after append %d" i) i (Block.Chain.height c)
+  done;
+  Alcotest.(check int) "tip seals the newest" 5 (Block.Chain.tip c).Block.header.Block.height;
+  Alcotest.(check int) "height unchanged by sealing" 5 (Block.Chain.height c);
+  Alcotest.(check bool) "validates" true (Block.Chain.validate c);
+  Block.Chain.append c ~txs:[ "t6" ] ~state_root ~timestamp:6.0;
+  Alcotest.(check int) "append after a read" 6 (Block.Chain.height c);
+  match (Block.Chain.at c 5, Block.Chain.at c 6) with
+  | Some parent, Some child ->
+      Alcotest.(check bool) "sealed across a read" true (Block.verify_link ~parent ~child)
+  | _ -> Alcotest.fail "missing block"
+
+let test_chain_lazy_seal_catches_forgery () =
+  (* Blocks sealed on first read are ordinary blocks: a forged tx body or
+     header in a copy of them still fails validation. *)
+  let state_root = Repro_crypto.Sha256.digest_string "s0" in
+  let c = Block.Chain.create ~state_root in
+  for i = 1 to 3 do
+    Block.Chain.append c ~txs:[ Printf.sprintf "t%d" i; "x" ] ~state_root ~timestamp:1.0
+  done;
+  Alcotest.(check bool) "honest chain validates" true (Block.Chain.validate c);
+  let block h =
+    match Block.Chain.at c h with Some b -> b | None -> Alcotest.fail "missing block"
+  in
+  let adopt blocks =
+    match Block.Chain.of_blocks blocks with Some c -> c | None -> Alcotest.fail "empty chain"
+  in
+  let forged_tx h = { (block h) with Block.txs = [ "t0"; "x" ] } in
+  Alcotest.(check bool) "forged tip tx rejected" false
+    (Block.Chain.validate (adopt [ forged_tx 3; block 2; block 1; block 0 ]));
+  Alcotest.(check bool) "forged inner tx rejected" false
+    (Block.Chain.validate (adopt [ block 3; forged_tx 2; block 1; block 0 ]));
+  let forged_mid =
+    let b = block 2 in
+    { b with Block.header = { b.Block.header with Block.timestamp = 2.0 } }
+  in
+  Alcotest.(check bool) "forged inner header rejected" false
+    (Block.Chain.validate (adopt [ block 3; forged_mid; block 1; block 0 ]))
 
 let test_chain_rejects_forged_parent_header () =
   (* Rewrite a committed block's header in place (its state root): every
@@ -276,7 +343,7 @@ let test_chain_rejects_forged_parent_header () =
   let state_root = Repro_crypto.Sha256.digest_string "s0" in
   let c = Block.Chain.create ~state_root in
   for i = 1 to 3 do
-    ignore (Block.Chain.append c ~txs:[ Printf.sprintf "t%d" i ] ~state_root ~timestamp:1.0)
+    Block.Chain.append c ~txs:[ Printf.sprintf "t%d" i ] ~state_root ~timestamp:1.0
   done;
   let block h =
     match Block.Chain.at c h with Some b -> b | None -> Alcotest.fail "missing block"
@@ -889,6 +956,8 @@ let () =
           Alcotest.test_case "append/validate" `Quick test_chain_append_and_validate;
           Alcotest.test_case "link verification" `Quick test_chain_link_verification;
           Alcotest.test_case "append links like next" `Quick test_chain_append_links_like_next;
+          Alcotest.test_case "height counts unsealed appends" `Quick test_chain_height_counts_unsealed;
+          Alcotest.test_case "lazy seal catches forgery" `Quick test_chain_lazy_seal_catches_forgery;
           Alcotest.test_case "forged parent header" `Quick test_chain_rejects_forged_parent_header;
           Alcotest.test_case "tx inclusion proof" `Quick test_chain_tx_inclusion_proof;
         ] );

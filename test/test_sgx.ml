@@ -456,8 +456,19 @@ let prop_beacon_epochs_independent =
       | Beacon.Cert a, Beacon.Cert c -> a.Beacon.rnd <> c.Beacon.rnd
       | _ -> false)
 
+let prop_a2m_proof_tag_rendering =
+  (* Streamed without building the string; must equal the rendering it
+     replaced, hashed whole. *)
+  let edge_int = QCheck.(oneof [ int; small_signed_int; oneofl [ 0; -1; max_int; min_int ] ]) in
+  QCheck.Test.make ~name:"a2m: proof_tag = hash of its rendering" ~count:500
+    QCheck.(quad edge_int edge_int edge_int edge_int)
+    (fun (signer, log, slot, digest_tag) ->
+      A2m.proof_tag ~signer ~log ~slot ~digest_tag
+      = Det.stable_hash (Printf.sprintf "a2m:%d:%d:%d:%d" signer log slot digest_tag))
+
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest [ prop_a2m_no_two_digests_per_slot; prop_beacon_epochs_independent ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_a2m_no_two_digests_per_slot; prop_beacon_epochs_independent; prop_a2m_proof_tag_rendering ]
 
 let () =
   Alcotest.run "sgx"

@@ -483,6 +483,62 @@ let test_state_transfer_cached_pack () =
   | Ok restored -> Alcotest.(check bool) "restored = live" true (State.equal s restored)
   | Error e -> Alcotest.fail e
 
+let test_state_transfer_reuse () =
+  (* A server hands out one package while its state is unwritten, with
+     the verdict a fresh package gets; the root it verified once is not
+     trusted across a write or a tamper. *)
+  let open Repro_ledger in
+  let s = State.create () in
+  State.put s "acc1" "100";
+  State.put s "acc2" "50";
+  let verdict p ~expected_root =
+    match State_transfer.verify_and_restore p ~expected_root with
+    | Ok restored -> Some (State.equal s restored)
+    | Error _ -> None
+  in
+  let srv = State_transfer.server s in
+  let first = State_transfer.serve srv in
+  let expected_root = State.root s in
+  Alcotest.(check (option bool)) "first package verifies" (Some true)
+    (verdict first ~expected_root);
+  let reused = State_transfer.serve srv in
+  Alcotest.(check bool) "unwritten state reuses the package" true (reused == first);
+  Alcotest.(check (option bool)) "reused verdict = fresh verdict"
+    (verdict (State_transfer.pack s) ~expected_root)
+    (verdict reused ~expected_root);
+  Alcotest.(check (option bool)) "tampered reused package rejected" None
+    (verdict (State_transfer.tamper reused ~key:"acc1" ~value:"1000000") ~expected_root);
+  Alcotest.(check (option bool)) "injected key into reused package rejected" None
+    (verdict (State_transfer.tamper reused ~key:"acc9" ~value:"7") ~expected_root);
+  Alcotest.(check bool) "tampering leaves the served package" true
+    (State_transfer.serve srv == first);
+  Alcotest.(check (option bool)) "which still verifies" (Some true)
+    (verdict (State_transfer.serve srv) ~expected_root);
+  let writes =
+    [
+      ("put existing", true, fun () -> State.put s "acc1" "90");
+      ("put new", true, fun () -> State.put s "acc3" "1");
+      ("rewrite same value", true, fun () -> State.put s "acc3" "1");
+      ("delete", true, fun () -> State.delete s "acc2");
+      (* Nothing to delete: a new package all the same, with the old
+         content, which therefore still verifies. *)
+      ("delete absent", false, fun () -> State.delete s "nope");
+    ]
+  in
+  ignore
+    (List.fold_left
+       (fun prev (what, changes, write) ->
+         write ();
+         let next = State_transfer.serve srv in
+         Alcotest.(check bool) (what ^ ": new package") false (next == prev);
+         Alcotest.(check (option bool)) (what ^ ": verifies against the new root") (Some true)
+           (verdict next ~expected_root:(State.root s));
+         Alcotest.(check (option bool)) (what ^ ": old package judged by content")
+           (if changes then None else Some true)
+           (verdict prev ~expected_root:(State.root s));
+         next)
+       first writes)
+
 let test_state_transfer_rejects_wrong_root () =
   let open Repro_ledger in
   let s = State.create () in
@@ -627,6 +683,7 @@ let () =
           Alcotest.test_case "rejects tampered" `Quick test_state_transfer_rejects_tampered;
           Alcotest.test_case "rejects wrong root" `Quick test_state_transfer_rejects_wrong_root;
           Alcotest.test_case "cached pack still verified" `Quick test_state_transfer_cached_pack;
+          Alcotest.test_case "package reuse" `Quick test_state_transfer_reuse;
           Alcotest.test_case "transfer time scales" `Quick test_state_transfer_time_scales;
         ] );
       ( "omniledger",

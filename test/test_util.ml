@@ -537,9 +537,86 @@ let prop_log_add_commutative =
     QCheck.(pair (float_range (-50.0) 50.0) (float_range (-50.0) 50.0))
     (fun (a, b) -> Float.abs (Logspace.log_add a b -. Logspace.log_add b a) < 1e-9)
 
+(* The 64-bit FNV-1a of the reference definition, on boxed Int64, folded
+   to 62 bits: what [Det.stable_hash] computed before it moved to native
+   ints.  Every tag derived from it must stay bit-identical. *)
+let fnv1a_int64_reference s =
+  let prime = 0x100000001b3L and basis = 0xcbf29ce484222325L in
+  let h = ref basis in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h prime)
+    s;
+  Int64.to_int (Int64.logand !h 0x3fffffffffffffffL)
+
+let test_stable_hash_vectors () =
+  (* Published FNV-1a 64 test vectors, top two bits cleared. *)
+  List.iter
+    (fun (s, full) ->
+      Alcotest.(check int) (Printf.sprintf "fnv1a64 %S" s)
+        (Int64.to_int (Int64.logand full 0x3fffffffffffffffL))
+        (Det.stable_hash s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
+
+let any_string = QCheck.(string_gen_of_size Gen.(0 -- 64) Gen.char)
+
+let prop_stable_hash_matches_int64 =
+  QCheck.Test.make ~name:"stable_hash = Int64 FNV-1a reference" ~count:1000 any_string
+    (fun s -> Det.stable_hash s = fnv1a_int64_reference s)
+
+let edge_int =
+  QCheck.(
+    oneof
+      [ int; small_signed_int; oneofl [ 0; -1; 1; 9; 10; -10; max_int; min_int; max_int - 1 ] ])
+
+let prop_fnv_stream_matches_rendering =
+  QCheck.Test.make ~name:"streamed fnv = stable_hash of the rendering" ~count:1000
+    QCheck.(triple any_string edge_int any_string)
+    (fun (a, n, b) ->
+      Det.(fnv_init |> fnv_string a |> fnv_int n |> fnv_string b |> fnv_finish)
+      = fnv1a_int64_reference (a ^ string_of_int n ^ b))
+
+let prop_int_tbl_sorted_model =
+  (* Random inserts/removes/resets against a sorted association list: the
+     table holds the same bindings and visits them in increasing key
+     order, whatever the bucket layout. *)
+  QCheck.Test.make ~name:"Int_tbl matches a sorted model" ~count:300
+    QCheck.(list (pair (int_range 0 3) edge_int))
+    (fun ops ->
+      let t = Det.Int_tbl.create 2 in
+      let model =
+        List.fold_left
+          (fun m (op, k) ->
+            match op with
+            | 0 | 1 ->
+                Det.Int_tbl.replace t k (k lxor 5);
+                (k, k lxor 5) :: List.filter (fun (k', _) -> k' <> k) m
+            | 2 ->
+                Det.Int_tbl.remove t k;
+                List.filter (fun (k', _) -> k' <> k) m
+            | _ ->
+                if k mod 7 = 0 then begin
+                  Det.Int_tbl.reset t;
+                  []
+                end
+                else m)
+          [] ops
+      in
+      let seen = ref [] in
+      Det.Int_tbl.iter_sorted (fun k v -> seen := (k, v) :: !seen) t;
+      List.rev !seen = List.sort (fun (a, _) (b, _) -> Int.compare a b) model
+      && Det.Int_tbl.length t = List.length model
+      && List.for_all
+           (fun (k, v) -> Det.Int_tbl.mem t k && Det.Int_tbl.find_opt t k = Some v)
+           model)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_stable_hash_matches_int64;
+      prop_fnv_stream_matches_rendering;
+      prop_int_tbl_sorted_model;
       prop_heap_pop_sorted;
       prop_heap_ties_fifo;
       prop_permutation_bijective;
@@ -584,6 +661,7 @@ let () =
           Alcotest.test_case "worker exceptions propagate" `Quick test_pool_exception_propagates;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_pool_sequential_inline;
         ] );
+      ("det", [ Alcotest.test_case "stable_hash FNV-1a vectors" `Quick test_stable_hash_vectors ]);
       ( "memo",
         [
           Alcotest.test_case "exactly once under contention" `Quick test_memo_exactly_once;
